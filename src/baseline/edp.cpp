@@ -5,9 +5,9 @@
 #include <unordered_set>
 
 #include "common/error.hpp"
-#include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "core/match_counters.hpp"
+#include "core/match_stages.hpp"
 
 namespace evm {
 
@@ -142,35 +142,17 @@ MatchReport EdpMatcher::Match(const std::vector<Eid>& targets) {
     }
   }
 
-  // V stage: the same VID filtering as EV-Matching; in MapReduce mode each
-  // "mapper" handles one EID matching task end to end. Either path funnels
-  // its VidFilterCounters into the shared registry, so sequential and
-  // MapReduce runs report identical counter sets.
-  {
-    obs::StageSpan span(trace, "v-filter", reg.latency(kLatVStage));
-    obs::AmbientParentScope ambient(trace, span.id());
-    const obs::Counter comparisons = reg.counter(kCtrFeatureComparisons);
-    const obs::Counter processed = reg.counter(kCtrScenariosProcessed);
-    VidFilterCounters total;
-    if (engine_ != nullptr) {
-      common::Mutex counters_mutex;
-      engine_->pool().ParallelFor(targets.size(), [&](std::size_t i) {
-        VidFilterCounters counters;
-        report.results[i] = FilterVid(report.scenario_lists[i], v_scenarios_,
-                                      gallery_, counters, {}, trace);
-        common::MutexLock lock(counters_mutex);
-        total.feature_comparisons += counters.feature_comparisons;
-        total.scenarios_processed += counters.scenarios_processed;
-      });
-    } else {
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        report.results[i] = FilterVid(report.scenario_lists[i], v_scenarios_,
-                                      gallery_, total, {}, trace);
-      }
-    }
-    comparisons.Add(total.feature_comparisons);
-    processed.Add(total.scenarios_processed);
+  // V stage: the same VID filtering as EV-Matching, through the same
+  // runner; in MapReduce mode each scheduler task handles one EID matching
+  // task end to end.
+  TaskRunnerFn run_tasks;
+  if (engine_ != nullptr) {
+    run_tasks = [this](const std::vector<mapreduce::TaskFn>& tasks) {
+      engine_->RunTasks("ev-filter", "filter", tasks);
+    };
   }
+  RunFilterStage(report.scenario_lists, v_scenarios_, gallery_, {},
+                 report.results, reg, trace, run_tasks);
 
   std::unordered_set<std::uint64_t> distinct;
   std::size_t total_length = 0;

@@ -104,8 +104,7 @@ class BinaryReader {
     return v;
   }
   std::string ReadString() {
-    const auto n = ReadU64();
-    Require(n);
+    const auto n = ReadCount();
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
@@ -115,18 +114,29 @@ class BinaryReader {
     return StrongId<Tag>{ReadU64()};
   }
   std::vector<std::uint64_t> ReadU64Vector() {
-    const auto n = ReadU64();
+    const auto n = ReadCount();
     std::vector<std::uint64_t> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(ReadU64());
     return v;
   }
 
+  /// Reads an element-count prefix. Every element takes at least one byte,
+  /// so a count larger than the bytes left is corrupt; rejecting it here
+  /// keeps a hostile prefix from driving a huge allocation before the
+  /// underflow check would fire.
+  std::uint64_t ReadCount() {
+    const auto n = ReadU64();
+    EVM_CHECK_MSG(n <= size_ - pos_, "BinaryReader count exceeds payload");
+    return n;
+  }
+
   [[nodiscard]] bool AtEnd() const noexcept { return pos_ == size_; }
 
  private:
   void Require(std::uint64_t n) const {
-    EVM_CHECK_MSG(pos_ + n <= size_, "BinaryReader underflow");
+    // pos_ <= size_ always holds, so this cannot wrap (pos_ + n could).
+    EVM_CHECK_MSG(n <= size_ - pos_, "BinaryReader underflow");
   }
   const unsigned char* data_;
   std::size_t size_;

@@ -27,107 +27,44 @@ void RunFilterStage(const std::vector<EidScenarioList>& lists,
                     const VidFilterOptions& options,
                     std::vector<MatchResult>& results,
                     obs::MetricsRegistry& metrics, obs::TraceRecorder* trace,
-                    ThreadPool* pool) {
+                    const TaskRunnerFn& run_tasks) {
   obs::StageSpan span(trace, "v-filter", metrics.latency(kLatVStage));
   obs::AmbientParentScope ambient(trace, span.id());
-  const obs::Counter comparisons = metrics.counter(kCtrFeatureComparisons);
-  const obs::Counter processed = metrics.counter(kCtrScenariosProcessed);
-  const obs::Counter exact_rows = metrics.counter(kCtrExactFeatureRows);
-  const obs::Counter full_scans = metrics.counter(kCtrQuantizedFullScans);
-  const obs::Counter index_probes = metrics.counter(kCtrIndexProbes);
-  const obs::Counter index_fallbacks = metrics.counter(kCtrIndexFallbacks);
-  const obs::Counter avoided = metrics.counter(kCtrComparisonsAvoided);
-
   results.resize(lists.size());
-  if (pool == nullptr) {
-    VidFilterCounters counters;
+  VidFilterCounters total;
+  if (!run_tasks) {
     for (std::size_t i = 0; i < lists.size(); ++i) {
-      results[i] = FilterVid(lists[i], v_scenarios, gallery, counters,
-                             options, trace);
+      results[i] =
+          FilterVid(lists[i], v_scenarios, gallery, total, options, trace);
     }
-    comparisons.Add(counters.feature_comparisons);
-    processed.Add(counters.scenarios_processed);
-    exact_rows.Add(counters.exact_feature_rows);
-    full_scans.Add(counters.quantized_full_scans);
-    index_probes.Add(counters.index_probes);
-    index_fallbacks.Add(counters.index_fallbacks);
-    avoided.Add(counters.comparisons_avoided);
-    return;
+  } else {
+    common::Mutex counters_mutex;
+    std::vector<mapreduce::TaskFn> tasks;
+    tasks.reserve(lists.size());
+    for (std::size_t i = 0; i < lists.size(); ++i) {
+      tasks.push_back([&, i](const mapreduce::AttemptContext& ctx) {
+        // Pure up to the commit point: the result slot and the shared
+        // totals are published only by the attempt that wins the claim,
+        // keeping counters retry- and speculation-invariant.
+        VidFilterCounters counters;
+        MatchResult result = FilterVid(lists[i], v_scenarios, gallery,
+                                       counters, options, trace);
+        if (!ctx.ClaimCommit()) return mapreduce::AttemptStatus::kCommitLost;
+        results[i] = std::move(result);
+        common::MutexLock lock(counters_mutex);
+        total.feature_comparisons += counters.feature_comparisons;
+        total.scenarios_processed += counters.scenarios_processed;
+        total.exact_feature_rows += counters.exact_feature_rows;
+        total.quantized_full_scans += counters.quantized_full_scans;
+        return mapreduce::AttemptStatus::kSuccess;
+      });
+    }
+    run_tasks(tasks);
   }
-
-  common::Mutex counters_mutex;
-  VidFilterCounters total;
-  pool->ParallelFor(lists.size(), [&](std::size_t i) {
-    VidFilterCounters counters;
-    results[i] = FilterVid(lists[i], v_scenarios, gallery, counters,
-                           options, trace);
-    common::MutexLock lock(counters_mutex);
-    total.feature_comparisons += counters.feature_comparisons;
-    total.scenarios_processed += counters.scenarios_processed;
-    total.exact_feature_rows += counters.exact_feature_rows;
-    total.quantized_full_scans += counters.quantized_full_scans;
-    total.index_probes += counters.index_probes;
-    total.index_fallbacks += counters.index_fallbacks;
-    total.comparisons_avoided += counters.comparisons_avoided;
-  });
-  comparisons.Add(total.feature_comparisons);
-  processed.Add(total.scenarios_processed);
-  exact_rows.Add(total.exact_feature_rows);
-  full_scans.Add(total.quantized_full_scans);
-  index_probes.Add(total.index_probes);
-  index_fallbacks.Add(total.index_fallbacks);
-  avoided.Add(total.comparisons_avoided);
-}
-
-void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
-                             const VScenarioSet& v_scenarios,
-                             FeatureGallery& gallery,
-                             const VidFilterOptions& options,
-                             std::vector<MatchResult>& results,
-                             obs::MetricsRegistry& metrics,
-                             obs::TraceRecorder* trace,
-                             mapreduce::TaskScheduler& scheduler) {
-  obs::StageSpan span(trace, "v-filter", metrics.latency(kLatVStage));
-  obs::AmbientParentScope ambient(trace, span.id());
-  const obs::Counter comparisons = metrics.counter(kCtrFeatureComparisons);
-  const obs::Counter processed = metrics.counter(kCtrScenariosProcessed);
-  const obs::Counter exact_rows = metrics.counter(kCtrExactFeatureRows);
-  const obs::Counter full_scans = metrics.counter(kCtrQuantizedFullScans);
-  const obs::Counter index_probes = metrics.counter(kCtrIndexProbes);
-  const obs::Counter index_fallbacks = metrics.counter(kCtrIndexFallbacks);
-  const obs::Counter avoided = metrics.counter(kCtrComparisonsAvoided);
-
-  results.resize(lists.size());
-  common::Mutex counters_mutex;
-  VidFilterCounters total;
-  std::vector<mapreduce::TaskFn> tasks;
-  tasks.reserve(lists.size());
-  for (std::size_t i = 0; i < lists.size(); ++i) {
-    tasks.push_back([&, i](const mapreduce::AttemptContext& ctx) {
-      // Pure up to the commit point: the result slot and the shared totals
-      // are published only by the attempt that wins the claim, keeping
-      // counters retry- and speculation-invariant.
-      VidFilterCounters counters;
-      MatchResult result =
-          FilterVid(lists[i], v_scenarios, gallery, counters, options, trace);
-      if (!ctx.ClaimCommit()) return mapreduce::AttemptStatus::kCommitLost;
-      results[i] = std::move(result);
-      common::MutexLock lock(counters_mutex);
-      total.feature_comparisons += counters.feature_comparisons;
-      total.scenarios_processed += counters.scenarios_processed;
-      total.exact_feature_rows += counters.exact_feature_rows;
-      total.quantized_full_scans += counters.quantized_full_scans;
-      return mapreduce::AttemptStatus::kSuccess;
-    });
-  }
-  scheduler.Run("stream-filter", "filter", tasks);
-  comparisons.Add(total.feature_comparisons);
-  processed.Add(total.scenarios_processed);
-  exact_rows.Add(total.exact_feature_rows);
-  full_scans.Add(total.quantized_full_scans);
-  index_probes.Add(total.index_probes);
-  index_fallbacks.Add(total.index_fallbacks);
-  avoided.Add(total.comparisons_avoided);
+  metrics.counter(kCtrFeatureComparisons).Add(total.feature_comparisons);
+  metrics.counter(kCtrScenariosProcessed).Add(total.scenarios_processed);
+  metrics.counter(kCtrExactFeatureRows).Add(total.exact_feature_rows);
+  metrics.counter(kCtrQuantizedFullScans).Add(total.quantized_full_scans);
 }
 
 MatchReport RunMatchPass(const std::vector<Eid>& targets,

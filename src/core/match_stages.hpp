@@ -5,14 +5,15 @@
 //
 //  * RunSplitStage / RunFilterStage — one E-split / one V-filter over an
 //    explicit scenario store, with the span + counter instrumentation the
-//    batch matcher always had. The filter stage optionally fans out across a
-//    ThreadPool (per-EID FilterVid calls are independent; the shared gallery
-//    is single-flight, so parallel scheduling cannot change any result).
+//    batch matcher always had. RunFilterStage is the one per-EID FilterVid
+//    fan-out: inline, or one task per EID on a caller-supplied task runner
+//    (per-EID FilterVid calls are independent; the shared gallery is
+//    single-flight, so parallel scheduling cannot change any result).
 //
 //  * RunMatchPass — the full skeleton of EvMatcher::Match: split, filter,
 //    the matching-refining loop (Algorithm 2) and the registry-delta
 //    statistics, parameterized over how the two stages execute (sequential,
-//    pooled, or MapReduce-backed via the hooks). Because the skeleton is
+//    scheduled, or MapReduce-backed via the hooks). Because the skeleton is
 //    shared, every execution mode counts and refines identically — which is
 //    what makes the stream driver's drain output byte-identical to a batch
 //    match over the same records.
@@ -21,11 +22,10 @@
 #include <functional>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/set_splitting.hpp"
 #include "core/types.hpp"
 #include "core/vid_filter.hpp"
-#include "mapreduce/scheduler.hpp"
+#include "mapreduce/task.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "vsense/gallery.hpp"
@@ -55,32 +55,25 @@ struct RefineConfig {
                                          obs::MetricsRegistry& metrics,
                                          obs::TraceRecorder* trace);
 
+/// Runs a task set to completion on a TaskScheduler or the MapReduce
+/// engine, under the job and stage names the caller binds.
+using TaskRunnerFn =
+    std::function<void(const std::vector<mapreduce::TaskFn>& tasks)>;
+
 /// Runs VID filtering for every list, recording the v-filter span / stage.v
-/// latency and accumulating match.feature_comparisons /
-/// match.scenarios_processed. A non-null `pool` fans the per-EID FilterVid
-/// calls out with ParallelFor; results and counter totals are identical
-/// either way.
+/// latency and accumulating match.feature_comparisons,
+/// match.scenarios_processed, match.exact_feature_rows and
+/// match.quantized_full_scans. Without `run_tasks` the FilterVid calls run
+/// inline. With it, each EID is one task, run inside the v-filter span; an
+/// attempt publishes its result slot and counter contribution only on
+/// ClaimCommit(), so retries and speculative backups cannot change any
+/// result or count. Results and counter totals are identical either way.
 void RunFilterStage(const std::vector<EidScenarioList>& lists,
                     const VScenarioSet& v_scenarios, FeatureGallery& gallery,
                     const VidFilterOptions& options,
                     std::vector<MatchResult>& results,
                     obs::MetricsRegistry& metrics, obs::TraceRecorder* trace,
-                    ThreadPool* pool = nullptr);
-
-/// RunFilterStage, but executed as one TaskScheduler task per EID instead of
-/// a plain ParallelFor — each FilterVid call becomes a retryable,
-/// speculation-eligible attempt whose result slot and counter contribution
-/// publish only on ClaimCommit(), so the scheduler's fault tolerance (and
-/// the stream driver's off-consumer-thread V stage) cannot change any
-/// result or count. Span/latency instrumentation matches RunFilterStage.
-void RunFilterStageScheduled(const std::vector<EidScenarioList>& lists,
-                             const VScenarioSet& v_scenarios,
-                             FeatureGallery& gallery,
-                             const VidFilterOptions& options,
-                             std::vector<MatchResult>& results,
-                             obs::MetricsRegistry& metrics,
-                             obs::TraceRecorder* trace,
-                             mapreduce::TaskScheduler& scheduler);
+                    const TaskRunnerFn& run_tasks = nullptr);
 
 /// Stage execution hooks for RunMatchPass. The split hook receives the
 /// (sub)set of targets to split and the seed for this pass; the filter hook
@@ -93,8 +86,8 @@ using FilterStageFn =
 
 /// The full match pass: split + filter + matching refining + stats derived
 /// from the registry delta. This is EvMatcher::Match with the two stages
-/// abstracted; the stream drain calls it with sequential/pooled stages over
-/// the windowed store and obtains batch-identical reports.
+/// abstracted; the stream drain calls it with inline or scheduled stages
+/// over the windowed store and obtains batch-identical reports.
 [[nodiscard]] MatchReport RunMatchPass(const std::vector<Eid>& targets,
                                        const RefineConfig& refine,
                                        std::uint64_t base_seed,

@@ -62,7 +62,7 @@ struct Codec<std::vector<T>> {
     for (const auto& x : v) Codec<T>::Encode(w, x);
   }
   static std::vector<T> Decode(BinaryReader& r) {
-    const auto n = r.ReadU64();
+    const auto n = r.ReadCount();
     std::vector<T> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(Codec<T>::Decode(r));

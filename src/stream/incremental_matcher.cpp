@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/match_counters.hpp"
 #include "stream/counters.hpp"
 
 namespace evm::stream {
@@ -12,18 +11,13 @@ IncrementalMatcher::IncrementalMatcher(const WindowedScenarioStore& store,
                                        IncrementalMatcherConfig config,
                                        obs::MetricsRegistry& metrics,
                                        obs::TraceRecorder* trace,
-                                       ThreadPool* pool,
                                        mapreduce::TaskScheduler* scheduler)
     : store_(store),
       config_(std::move(config)),
       metrics_(metrics),
       trace_(trace),
-      pool_(pool),
       scheduler_(scheduler),
       gallery_(oracle, &metrics, trace) {
-  if (config_.enable_index) {
-    index_ = std::make_unique<vindex::VIndex>(config_.index);
-  }
   std::sort(config_.targets.begin(), config_.targets.end());
   config_.targets.erase(
       std::unique(config_.targets.begin(), config_.targets.end()),
@@ -34,48 +28,31 @@ const std::vector<Eid>& IncrementalMatcher::CurrentTargets() const {
   return config_.targets.empty() ? store_.universe() : config_.targets;
 }
 
-void IncrementalMatcher::MaintainIndex(const SealResult& sealed) {
-  if (index_ == nullptr) return;
-  // Retention expiry: drop the postings and cached features of every
-  // scenario slot of the expired windows (same id enumeration the store
-  // uses when it removes the V side). Window indices never recur, so a
-  // later rebuild of the same id is impossible — no stale aliasing.
-  const std::size_t cells = store_.grid().CellCount();
-  for (const std::size_t window : sealed.expired_windows) {
-    for (std::size_t c = 0; c < cells; ++c) {
-      const ScenarioId id = store_.e_scenarios().IdFor(window, CellId{c});
-      index_->Remove(id.value());
-      gallery_.Evict(id.value());
-    }
+void IncrementalMatcher::RunFilter(const std::vector<EidScenarioList>& lists,
+                                   std::vector<MatchResult>& results) {
+  TaskRunnerFn run_tasks;
+  if (scheduler_ != nullptr) {
+    run_tasks = [this](const std::vector<mapreduce::TaskFn>& tasks) {
+      scheduler_->Run("stream-filter", "filter", tasks);
+    };
   }
-  if (index_->trained()) return;
-  // Train once the gallery holds enough rows. Only already-cached blocks
-  // participate (no forced extractions): what the codebook sees depends on
-  // seal batching, but results never do — the index is exactness-preserving
-  // for ANY codebook, so drained output stays byte-identical to batch.
-  std::vector<const FeatureBlock*> blocks;
-  std::size_t rows = 0;
-  gallery_.ForEachReadyBlock([&](std::uint64_t, const FeatureBlock& block) {
-    blocks.push_back(&block);
-    rows += block.rows();
-  });
-  if (rows < config_.index.train_min_rows) return;
-  obs::StageSpan span(trace_, "vindex.build",
-                      metrics_.latency(kLatIndexBuild));
-  index_->Train(blocks);
-}
-
-VidFilterOptions IncrementalMatcher::FilterOptions() const {
-  VidFilterOptions options = config_.filter;
-  if (index_ != nullptr && index_->trained()) options.index = index_.get();
-  return options;
+  RunFilterStage(lists, store_.v_scenarios(), gallery_, config_.filter,
+                 results, metrics_, trace_, run_tasks);
 }
 
 std::size_t IncrementalMatcher::OnSealed(const SealResult& sealed,
                                          bool e_only) {
-  // Index maintenance runs on every seal step — even ones that dirty no
-  // tracked target — so expired postings never outlive their scenarios.
-  MaintainIndex(sealed);
+  // Retention expiry runs on every seal step — even ones that dirty no
+  // tracked target — so expired features never outlive their scenarios.
+  // Every scenario slot of an expired window goes (the id enumeration the
+  // store uses when it removes the V side). Window indices never recur, so
+  // an evicted id is never rebuilt.
+  const std::size_t cells = store_.grid().CellCount();
+  for (const std::size_t window : sealed.expired_windows) {
+    for (std::size_t c = 0; c < cells; ++c) {
+      gallery_.Evict(store_.e_scenarios().IdFor(window, CellId{c}).value());
+    }
+  }
   if (sealed.changed_eids.empty() && (e_only || e_only_pending_.empty())) {
     return 0;
   }
@@ -155,15 +132,7 @@ std::size_t IncrementalMatcher::OnSealed(const SealResult& sealed,
   if (changed.empty()) return 0;
 
   std::vector<MatchResult> results;
-  const VidFilterOptions options = FilterOptions();
-  if (scheduler_ != nullptr) {
-    RunFilterStageScheduled(changed, store_.v_scenarios(), gallery_,
-                            options, results, metrics_, trace_,
-                            *scheduler_);
-  } else {
-    RunFilterStage(changed, store_.v_scenarios(), gallery_, options,
-                   results, metrics_, trace_, pool_);
-  }
+  RunFilter(changed, results);
   {
     common::MutexLock lock(provisional_mutex_);
     for (MatchResult& result : results) {
@@ -184,10 +153,7 @@ MatchReport IncrementalMatcher::Drain() {
                              subset, metrics_, trace_);
       },
       [this](const std::vector<EidScenarioList>& lists,
-             std::vector<MatchResult>& results) {
-        RunFilterStage(lists, store_.v_scenarios(), gallery_, FilterOptions(),
-                       results, metrics_, trace_, pool_);
-      },
+             std::vector<MatchResult>& results) { RunFilter(lists, results); },
       metrics_, trace_);
 }
 

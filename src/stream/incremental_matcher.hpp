@@ -6,11 +6,12 @@
 // membership changed ("dirty" targets) are re-queued. The dirty subset is
 // re-split over the current store; V-stage filtering — the expensive stage —
 // then runs only for targets whose *selected scenario list* actually
-// changed, fanned out across the thread pool and served by the shared
-// single-flight FeatureGallery. Results are provisional: a per-target split
-// is not the same computation as a joint split over the full target set
-// (the window permutation, the ContainsTargetEid preprocess filter and the
-// early-out all depend on which targets are in flight together).
+// changed, one TaskScheduler task per target when a scheduler is given,
+// served by the shared single-flight FeatureGallery. Results are
+// provisional: a per-target split is not the same computation as a joint
+// split over the full target set (the window permutation, the
+// ContainsTargetEid preprocess filter and the early-out all depend on which
+// targets are in flight together).
 //
 // E-only degradation (OnSealed with e_only=true): under load shedding the
 // driver skips the V stage entirely (SLIM-style). The split stage still
@@ -28,26 +29,27 @@
 // identical to the batch-built sets and the stages are the same code, the
 // drained report is byte-identical to EvMatcher::Match on the same records;
 // the gallery is already warm from the live path, so this pass is cheap.
+//
+// Retention: every seal step evicts the cached gallery features of the
+// scenarios of the windows it expired, so the gallery stays bounded by the
+// retention horizon.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/annotations.hpp"
 #include "common/mutex.hpp"
-
-#include "common/thread_pool.hpp"
 #include "core/match_stages.hpp"
 #include "core/set_splitting.hpp"
 #include "core/types.hpp"
 #include "core/vid_filter.hpp"
+#include "mapreduce/scheduler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stream/windowed_store.hpp"
 #include "vsense/gallery.hpp"
-#include "vsense/index/vindex.hpp"
 #include "vsense/visual_oracle.hpp"
 
 namespace evm::stream {
@@ -58,32 +60,25 @@ struct IncrementalMatcherConfig {
   RefineConfig refine{};
   /// EIDs to keep matched; empty = universal (every EID the store has seen).
   std::vector<Eid> targets{};
-  /// Enables the vindex ANN shortlist. The codebook trains itself once the
-  /// gallery holds index.train_min_rows cached feature rows; sealed windows
-  /// then get per-block postings lazily on first probe, and retention expiry
-  /// evicts both the gallery features and the postings of every scenario of
-  /// the expired windows. Results are bit-identical with or without it.
-  bool enable_index{false};
-  vindex::VIndexConfig index{};
 };
 
 class IncrementalMatcher {
  public:
-  /// `store`, `oracle`, `metrics` (and `pool`/`trace`/`scheduler` when
-  /// given) must outlive the matcher. A null pool runs the V stage
-  /// sequentially; a non-null scheduler runs the *live-path* V stage as
-  /// fault-tolerant TaskScheduler tasks instead (results are identical —
-  /// scheduler attempts publish only on commit).
+  /// `store`, `oracle`, `metrics` (and `trace`/`scheduler` when given) must
+  /// outlive the matcher. A null scheduler runs the V stage inline; a
+  /// non-null one runs it, on the live path and in the drain, as
+  /// fault-tolerant TaskScheduler tasks (results are identical — scheduler
+  /// attempts publish only on commit).
   IncrementalMatcher(const WindowedScenarioStore& store,
                      const VisualOracle& oracle,
                      IncrementalMatcherConfig config,
                      obs::MetricsRegistry& metrics,
                      obs::TraceRecorder* trace = nullptr,
-                     ThreadPool* pool = nullptr,
                      mapreduce::TaskScheduler* scheduler = nullptr);
 
-  /// Reacts to a seal step: re-splits the dirty targets and re-filters the
-  /// ones whose scenario list changed. With e_only=true the V stage is
+  /// Reacts to a seal step: evicts the expired windows' gallery features,
+  /// re-splits the dirty targets and re-filters the ones whose scenario
+  /// list changed. With e_only=true the V stage is
   /// skipped (load-shedding degradation, see file header) and affected
   /// targets are re-published flagged low-confidence. Returns the number of
   /// targets whose provisional result was refreshed.
@@ -106,11 +101,6 @@ class IncrementalMatcher {
 
   [[nodiscard]] FeatureGallery& gallery() noexcept { return gallery_; }
 
-  /// The vindex shortlist (null unless config.enable_index).
-  [[nodiscard]] const vindex::VIndex* index() const noexcept {
-    return index_.get();
-  }
-
   /// Targets currently carrying an E-only result that still awaits its
   /// post-recovery V-stage refresh.
   [[nodiscard]] std::size_t e_only_pending_count() const noexcept {
@@ -121,20 +111,17 @@ class IncrementalMatcher {
   /// The targets this matcher tracks right now (configured list, or the
   /// store universe under universal matching).
   [[nodiscard]] const std::vector<Eid>& CurrentTargets() const;
-  /// Index lifecycle on a seal step: evict expired windows' postings +
-  /// gallery features, then train the codebook once enough rows are cached.
-  void MaintainIndex(const SealResult& sealed);
-  /// config_.filter with the trained index attached.
-  [[nodiscard]] VidFilterOptions FilterOptions() const;
+  /// The V stage over `lists`: RunFilterStage on the scheduler when there is
+  /// one, inline otherwise.
+  void RunFilter(const std::vector<EidScenarioList>& lists,
+                 std::vector<MatchResult>& results);
 
   const WindowedScenarioStore& store_;
   IncrementalMatcherConfig config_;
   obs::MetricsRegistry& metrics_;
   obs::TraceRecorder* trace_;
-  ThreadPool* pool_;
   mapreduce::TaskScheduler* scheduler_;
   FeatureGallery gallery_;
-  std::unique_ptr<vindex::VIndex> index_;  // enable_index only
 
   // eid -> last selected scenario list *that went through the V stage*.
   // E-only passes deliberately do not update it, so recovery re-filters.

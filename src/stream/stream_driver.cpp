@@ -26,7 +26,7 @@ StreamDriver::StreamDriver(const Grid& grid, const VisualOracle& oracle,
                      : nullptr),
       store_(grid, config_.store),
       matcher_(store_, oracle, config_.match, metrics(), config_.trace,
-               pool_.get(), scheduler_.get()),
+               scheduler_.get()),
       admission_(config_.admission) {
   obs::MetricsRegistry& reg = metrics();
   lanes_.reserve(config_.shards);

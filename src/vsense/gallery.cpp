@@ -64,11 +64,11 @@ void FeatureGallery::Clear() {
   hits_.store(0, std::memory_order_relaxed);
 }
 
-void FeatureGallery::ForEachReadyBlock(
-    const std::function<void(std::uint64_t, const FeatureBlock&)>& fn) const {
-  // Same snapshot idiom as ExportTo: collect completed entries under the
-  // shard locks, then visit in global scenario-id order so callers see a
-  // deterministic sequence regardless of shard iteration order.
+std::vector<std::pair<std::uint64_t, std::shared_ptr<FeatureGallery::Entry>>>
+FeatureGallery::ReadySnapshot() const {
+  // Collect completed entries under the shard locks, then sort into global
+  // scenario-id order so callers see a deterministic sequence regardless of
+  // shard iteration order.
   std::vector<std::pair<std::uint64_t, std::shared_ptr<Entry>>> snapshot;
   for (const Shard& shard : shards_) {
     common::MutexLock lock(shard.mutex);
@@ -81,7 +81,12 @@ void FeatureGallery::ForEachReadyBlock(
   }
   std::sort(snapshot.begin(), snapshot.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [scenario_id, entry] : snapshot) {
+  return snapshot;
+}
+
+void FeatureGallery::ForEachReadyBlock(
+    const std::function<void(std::uint64_t, const FeatureBlock&)>& fn) const {
+  for (const auto& [scenario_id, entry] : ReadySnapshot()) {
     fn(scenario_id, entry->block);
   }
 }
@@ -94,21 +99,7 @@ void FeatureGallery::Evict(std::uint64_t scenario_id) {
 
 std::size_t FeatureGallery::ExportTo(mapreduce::Dfs& dfs,
                                      const std::string& name) const {
-  // Snapshot completed entries in scenario-id order so the exported dataset
-  // is deterministic regardless of shard/bucket iteration order.
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<Entry>>> snapshot;
-  for (const Shard& shard : shards_) {
-    common::MutexLock lock(shard.mutex);
-    shard.cache.ForEachSorted(
-        [&](std::uint64_t scenario_id, const std::shared_ptr<Entry>& entry) {
-          if (entry->ready.load(std::memory_order_acquire)) {
-            snapshot.emplace_back(scenario_id, entry);
-          }
-        });
-  }
-  std::sort(snapshot.begin(), snapshot.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
+  const auto snapshot = ReadySnapshot();
   std::vector<mapreduce::Block> blocks;
   blocks.reserve(snapshot.size());
   for (const auto& [scenario_id, entry] : snapshot) {
@@ -135,10 +126,10 @@ std::size_t FeatureGallery::ImportFrom(const mapreduce::Dfs& dfs,
     BinaryReader reader(block.data(), block.size());
     const std::uint64_t scenario_id = reader.ReadU64();
     auto entry = std::make_shared<Entry>();
-    const std::uint64_t observations = reader.ReadU64();
+    const std::uint64_t observations = reader.ReadCount();
     entry->features.reserve(observations);
     for (std::uint64_t o = 0; o < observations; ++o) {
-      FeatureVector feature(reader.ReadU64());
+      FeatureVector feature(reader.ReadCount());
       for (float& v : feature) v = reader.ReadFloat();
       entry->features.push_back(std::move(feature));
     }

@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -81,9 +82,8 @@ class FeatureGallery {
   void Clear();
 
   /// Visits every fully extracted cached block in ascending scenario-id
-  /// order (entries still being extracted are skipped). Used by the
-  /// streaming vindex trainer to gather its training set without forcing
-  /// any new extractions. The visited references stay valid until Clear()
+  /// order (entries still being extracted are skipped), without forcing
+  /// any new extraction. The visited references stay valid until Clear()
   /// or Evict() of that scenario.
   void ForEachReadyBlock(
       const std::function<void(std::uint64_t, const FeatureBlock&)>& fn) const;
@@ -131,6 +131,9 @@ class FeatureGallery {
 
   /// Finds or creates the entry and runs the single-flight extraction.
   Entry& Resolve(const VScenario& scenario);
+  /// Every fully extracted entry, in ascending scenario-id order.
+  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::shared_ptr<Entry>>>
+  ReadySnapshot() const;
 
   const VisualOracle& oracle_;
   obs::TraceRecorder* trace_{nullptr};

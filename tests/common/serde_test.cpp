@@ -100,6 +100,31 @@ TEST(SerdeTest, UnderflowThrows) {
   EXPECT_THROW(r.ReadU64(), Error);
 }
 
+// An 8-byte payload holding only a length prefix: each of these counts must
+// be rejected as evm::Error before any allocation is sized from it (2^64-1
+// once wrapped the underflow check, 2^33 and 2^61 threw from reserve()).
+constexpr std::uint64_t kHostilePrefixes[] = {
+    std::uint64_t{1} << 33, std::uint64_t{1} << 61,
+    std::numeric_limits<std::uint64_t>::max()};
+
+TEST(SerdeTest, HostileStringLengthThrows) {
+  for (const std::uint64_t prefix : kHostilePrefixes) {
+    BinaryWriter w;
+    w.WriteU64(prefix);
+    BinaryReader r(w.bytes());
+    EXPECT_THROW((void)r.ReadString(), Error) << prefix;
+  }
+}
+
+TEST(SerdeTest, HostileVectorLengthThrows) {
+  for (const std::uint64_t prefix : kHostilePrefixes) {
+    BinaryWriter w;
+    w.WriteU64(prefix);
+    BinaryReader r(w.bytes());
+    EXPECT_THROW((void)r.ReadU64Vector(), Error) << prefix;
+  }
+}
+
 TEST(SerdeTest, MixedSequencePreservesOrder) {
   BinaryWriter w;
   w.WriteU64(10);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/error.hpp"
 #include "mapreduce/partitioner.hpp"
 
 namespace evm::mapreduce {
@@ -31,6 +34,25 @@ TEST(CodecTest, VectorRoundTrips) {
   const std::vector<std::uint64_t> v{3, 1, 4, 1, 5};
   EXPECT_EQ(RoundTrip(v), v);
   EXPECT_TRUE(RoundTrip(std::vector<std::uint64_t>{}).empty());
+}
+
+TEST(CodecTest, HostileVectorLengthThrows) {
+  // An 8-byte payload holding only the length prefix; 2^33 and 2^61 used to
+  // throw std::bad_alloc / std::length_error from reserve().
+  for (const std::uint64_t prefix :
+       {std::uint64_t{1} << 33, std::uint64_t{1} << 61,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    BinaryWriter w;
+    w.WriteU64(prefix);
+    BinaryReader r(w.bytes());
+    EXPECT_THROW((void)Codec<std::vector<std::uint64_t>>::Decode(r), Error)
+        << prefix;
+    BinaryReader nested(w.bytes());
+    EXPECT_THROW(
+        (void)Codec<std::vector<std::vector<std::uint64_t>>>::Decode(nested),
+        Error)
+        << prefix;
+  }
 }
 
 TEST(CodecTest, NestedPairRoundTrips) {

@@ -7,8 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "core/match_counters.hpp"
 #include "core/matcher.hpp"
+#include "mapreduce/counters.hpp"
+#include "mapreduce/scheduler.hpp"
 #include "stream/counters.hpp"
 #include "stream/replay.hpp"
 
@@ -143,9 +146,9 @@ TEST(StreamDriverTest, UniversalDrainMatchesBatch) {
   ExpectIdenticalReports(driver.Drain(), expected);
 }
 
-/// Dense cells (population / cell count ≈ 50): gallery blocks clear the
-/// vindex min_rows gate, so index-enabled streaming tests exercise the
-/// shortlist instead of vacuously declining every block.
+/// Dense cells (population / cell count ≈ 50): gallery blocks are large
+/// enough for the quantized block scan, so exact_feature_rows and
+/// quantized_full_scans move.
 DatasetConfig DenseConfig(std::uint64_t seed) {
   DatasetConfig config;
   config.population = 200;
@@ -155,37 +158,21 @@ DatasetConfig DenseConfig(std::uint64_t seed) {
   return config;
 }
 
-TEST(StreamDriverTest, DrainWithIndexMatchesPlainBatch) {
-  // With the vindex shortlist enabled the streaming codebook trains over
-  // whatever the gallery holds when the row threshold trips — a different
-  // codebook than the batch matcher's, depending on seal batching. The
-  // exactness certificate makes that invisible: results (not index
-  // counters, which legitimately vary with timing) must stay bit-identical
-  // to the plain exhaustive batch run.
-  for (const std::uint64_t seed : {36u, 37u}) {
-    const Dataset dataset = GenerateDataset(DenseConfig(seed));
-    const std::vector<Eid> targets = SampleTargets(dataset, 5);
-
-    MatcherConfig plain_config;
-    EvMatcher batch(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
-                    plain_config);
-    const MatchReport expected = batch.Match(targets);
-
-    StreamDriverConfig config = DriverConfigFor(dataset, plain_config, targets,
-                                                BackpressurePolicy::kBlock);
-    config.match.enable_index = true;
-    config.match.index.train_min_rows = 64;  // train early in the stream
-    StreamDriver driver(dataset.grid, dataset.oracle, config);
-    driver.Start();
-    ReplayDataset(dataset, driver);
-    ExpectIdenticalReports(driver.Drain(), expected);
+/// The registry-only V-stage counters (not part of MatchStats).
+void ExpectSameFilterCounters(const obs::MetricsRegistry& a,
+                              const obs::MetricsRegistry& b) {
+  for (const char* name : {kCtrFeatureComparisons, kCtrExactFeatureRows,
+                           kCtrQuantizedFullScans}) {
+    EXPECT_EQ(a.CounterValue(name), b.CounterValue(name)) << name;
   }
 }
 
-TEST(StreamDriverTest, IndexFollowsStreamLifecycle) {
-  // Store + matcher directly (no driver threads) so the seal sequence is
-  // deterministic: the index must train itself mid-stream, serve probes,
-  // and drop postings + cached features when windows expire.
+TEST(StreamDriverTest, RetentionExpiryEvictsGalleryFeatures) {
+  // Store + matchers directly (no driver threads) so the seal sequence is
+  // deterministic. One matcher runs the V stage inline, the other as
+  // TaskScheduler tasks: their provisional results, drained reports and
+  // V-stage counters must agree. Expiring every window must then leave
+  // both galleries empty.
   const Dataset dataset = GenerateDataset(DenseConfig(38));
   const std::vector<Eid> targets = SampleTargets(dataset, 5);
 
@@ -206,33 +193,57 @@ TEST(StreamDriverTest, IndexFollowsStreamLifecycle) {
     }
   }
 
-  obs::MetricsRegistry metrics;
   IncrementalMatcherConfig match_config;
   match_config.targets = targets;
-  match_config.enable_index = true;
-  match_config.index.train_min_rows = 64;
-  IncrementalMatcher matcher(store, dataset.oracle, match_config, metrics);
+  obs::MetricsRegistry inline_metrics;
+  obs::MetricsRegistry scheduled_metrics;
+  ThreadPool pool(2);
+  mapreduce::TaskScheduler scheduler(pool, mapreduce::SchedulerOptions{},
+                                     &scheduled_metrics);
+  IncrementalMatcher inline_matcher(store, dataset.oracle, match_config,
+                                    inline_metrics);
+  IncrementalMatcher scheduled_matcher(store, dataset.oracle, match_config,
+                                       scheduled_metrics, nullptr,
+                                       &scheduler);
+  const auto seal = [&](const SealResult& sealed) {
+    EXPECT_EQ(inline_matcher.OnSealed(sealed),
+              scheduled_matcher.OnSealed(sealed));
+  };
 
-  // Two seal steps: the first fills the gallery past the training
-  // threshold, so the second scans through a live index.
-  matcher.OnSealed(store.AdvanceWatermark(Tick{60}));
-  matcher.OnSealed(store.SealAll());
-  ASSERT_NE(matcher.index(), nullptr);
-  EXPECT_TRUE(matcher.index()->trained());
-  EXPECT_GT(metrics.CounterValue(kCtrIndexProbes), 0u);
-  EXPECT_GT(metrics.CounterValue(kCtrComparisonsAvoided), 0u);
-  EXPECT_GT(matcher.index()->indexed_blocks(), 0u);
-  EXPECT_GT(matcher.gallery().CachedScenarioCount(), 0u);
+  seal(store.AdvanceWatermark(Tick{60}));
+  seal(store.SealAll());
+  const std::uint64_t live_tasks =
+      scheduled_metrics.CounterValue(mapreduce::kMrFilterTasks);
+  EXPECT_GT(live_tasks, 0u);
+  EXPECT_GT(inline_metrics.CounterValue(kCtrExactFeatureRows), 0u);
+  ExpectSameFilterCounters(inline_metrics, scheduled_metrics);
+  for (const Eid target : targets) {
+    const std::optional<MatchResult> a =
+        inline_matcher.ProvisionalResult(target);
+    const std::optional<MatchResult> b =
+        scheduled_matcher.ProvisionalResult(target);
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (!a.has_value()) continue;
+    EXPECT_EQ(a->chosen_per_scenario, b->chosen_per_scenario);
+    EXPECT_EQ(a->reported_vid, b->reported_vid);
+    EXPECT_EQ(a->confidence, b->confidence);
+  }
 
-  // Retention expiry of every window must evict every posting and every
-  // cached block: scenario ids are exactly the (window, cell) slots.
+  ExpectIdenticalReports(scheduled_matcher.Drain(), inline_matcher.Drain());
+  EXPECT_GT(scheduled_metrics.CounterValue(mapreduce::kMrFilterTasks),
+            live_tasks);
+  ExpectSameFilterCounters(inline_metrics, scheduled_metrics);
+  EXPECT_GT(inline_matcher.gallery().CachedScenarioCount(), 0u);
+
+  // Retention expiry of every window must evict every cached block:
+  // scenario ids are exactly the (window, cell) slots.
   SealResult expire_all;
   for (std::size_t w = 0; w < store.e_scenarios().window_count(); ++w) {
     expire_all.expired_windows.push_back(w);
   }
-  matcher.OnSealed(expire_all);
-  EXPECT_EQ(matcher.index()->indexed_blocks(), 0u);
-  EXPECT_EQ(matcher.gallery().CachedScenarioCount(), 0u);
+  seal(expire_all);
+  EXPECT_EQ(inline_matcher.gallery().CachedScenarioCount(), 0u);
+  EXPECT_EQ(scheduled_matcher.gallery().CachedScenarioCount(), 0u);
 }
 
 TEST(StreamDriverTest, PracticalSettingWithRefineMatchesBatch) {

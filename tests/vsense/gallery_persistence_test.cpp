@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/serde.hpp"
 #include "mapreduce/dfs.hpp"
 #include "vsense/gallery.hpp"
 
@@ -70,6 +72,22 @@ TEST_F(GalleryPersistenceFixture, ExportIsIdempotentReplace) {
   EXPECT_EQ(gallery_.ExportTo(dfs_, "features"), 2u);
   FeatureGallery fresh(oracle_);
   EXPECT_EQ(fresh.ImportFrom(dfs_, "features"), 2u);
+}
+
+TEST_F(GalleryPersistenceFixture, ImportRejectsHostileCounts) {
+  // A block whose observation count, or whose first feature's dimension,
+  // claims far more elements than the block holds: evm::Error, never an
+  // allocation sized from the prefix.
+  for (const bool dimension : {false, true}) {
+    BinaryWriter w;
+    w.WriteU64(1);  // scenario id
+    if (dimension) w.WriteU64(1);  // one observation
+    w.WriteU64(std::uint64_t{1} << 61);
+    dfs_.Write("hostile", {w.Take()});
+    FeatureGallery fresh(oracle_);
+    EXPECT_THROW((void)fresh.ImportFrom(dfs_, "hostile"), Error) << dimension;
+    EXPECT_EQ(fresh.CachedScenarioCount(), 0u);
+  }
 }
 
 }  // namespace
