@@ -2,7 +2,7 @@
 //
 // The paper parallelizes on a 14-node Spark cluster; our engine scales with
 // worker threads. This bench sweeps the worker count for the full pipeline
-// (parallel set splitting + parallel VID filtering) at 400 matched EIDs.
+// (sequential set splitting + parallel VID filtering) at 400 matched EIDs.
 
 #include <iostream>
 #include <string>

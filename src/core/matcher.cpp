@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/error.hpp"
-#include "core/match_counters.hpp"
-
 namespace evm {
 
 EvMatcher::EvMatcher(const EScenarioSet& e_scenarios,
@@ -17,34 +14,12 @@ EvMatcher::EvMatcher(const EScenarioSet& e_scenarios,
       universe_(CollectUniverse(e_scenarios)),
       gallery_(oracle, &metrics(), config_.trace) {
   if (config_.execution == ExecutionMode::kMapReduce) {
-    EVM_CHECK_MSG(config_.split.mode == SplitMode::kWindowSignature,
-                  "MapReduce execution requires the window-signature mode");
     // The engine shares the matcher's registry/recorder unless the caller
     // wired its own, so mr.* counters land next to the match.* ones.
     if (config_.engine.metrics == nullptr) config_.engine.metrics = &metrics();
     if (config_.engine.trace == nullptr) config_.engine.trace = config_.trace;
     engine_ = std::make_unique<mapreduce::MapReduceEngine>(config_.engine);
   }
-}
-
-SplitOutcome EvMatcher::RunSplit(const std::vector<Eid>& targets,
-                                 std::uint64_t seed) {
-  SplitConfig split = config_.split;
-  split.seed = seed;
-  if (engine_ == nullptr) {
-    return RunSplitStage(e_scenarios_, split, universe_, targets, metrics(),
-                         config_.trace);
-  }
-  obs::StageSpan span(config_.trace, "e-split", metrics().latency(kLatEStage));
-  obs::AmbientParentScope ambient(config_.trace, span.id());
-  SplitOutcome outcome =
-      ParallelSetSplitter(e_scenarios_, split, *engine_, config_.trace)
-          .Run(universe_, targets);
-  // Accumulated per split pass, so refine rounds' windows count too.
-  metrics()
-      .counter(kCtrSplittingIterations)
-      .Add(outcome.windows_consumed);
-  return outcome;
 }
 
 void EvMatcher::RunFilter(const std::vector<EidScenarioList>& lists,
@@ -90,7 +65,10 @@ MatchReport EvMatcher::Match(const std::vector<Eid>& targets) {
   return RunMatchPass(
       targets, config_.refine, config_.split.seed,
       [this](const std::vector<Eid>& subset, std::uint64_t seed) {
-        return RunSplit(subset, seed);
+        SplitConfig split = config_.split;
+        split.seed = seed;
+        return RunSplitStage(e_scenarios_, split, universe_, subset,
+                             metrics(), config_.trace);
       },
       [this](const std::vector<EidScenarioList>& lists,
              std::vector<MatchResult>& results) { RunFilter(lists, results); },

@@ -3,9 +3,9 @@
 //
 // Supports the paper's elastic matching sizes: MatchOne (a single suspect's
 // EID), Match (any subset) and MatchUniversal (label every EID in the
-// dataset). Execution is either sequential or parallel; the parallel mode
-// runs EID set splitting as the MapReduce workflow of Sec. V-B and fans the
-// V stage out across the engine's workers (feature extraction per scenario,
+// dataset). Execution is sequential or parallel (ExecutionMode); both run
+// the same sequential EID set splitting, and the parallel mode fans the V
+// stage out across the engine's workers (feature extraction per scenario,
 // then per-EID comparison), per Sec. V-C.
 //
 // The feature gallery persists across calls, so after a universal matching
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/match_stages.hpp"
-#include "core/parallel_split.hpp"
 #include "core/set_splitting.hpp"
 #include "core/types.hpp"
 #include "core/vid_filter.hpp"
@@ -30,6 +29,9 @@
 
 namespace evm {
 
+/// How the V stage's tasks run: inline, or on the MapReduce engine (the
+/// ev-extract-features job, then one ev-filter task per EID). Set splitting
+/// runs the same sequential RunSplitStage in both modes.
 enum class ExecutionMode {
   kSequential,
   kMapReduce,
@@ -82,8 +84,6 @@ class EvMatcher {
   }
 
  private:
-  [[nodiscard]] SplitOutcome RunSplit(const std::vector<Eid>& targets,
-                                      std::uint64_t seed);
   void RunFilter(const std::vector<EidScenarioList>& lists,
                  std::vector<MatchResult>& results);
   /// MapReduce mode: the ev-extract-features job, which extracts every

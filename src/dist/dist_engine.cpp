@@ -42,12 +42,14 @@ Bytes DistEngine::CallWorker(WorkerId id, Method method,
 }
 
 Bytes DistEngine::CallOwner(const std::string& name, Method method,
-                            const Bytes& payload, WorkerId& owner_out) {
-  // The route lock is held shared across the RPC itself: a membership
-  // change (exclusive) cannot slip between the owner lookup and the
-  // delivery, so a record is always either delivered to the owner of a
-  // consistent epoch or re-pushed by that change's reconcile pass.
+                            const Bytes& payload, WorkerId& owner_out,
+                            const std::function<void()>& update_replica) {
+  // One shared section for the replica change, the lookup and the RPC: a
+  // reconcile (exclusive) runs before or after all three, so it never
+  // pushes a change whose RPC is still to come (a second append) or misses
+  // one that already left the replica (a stale copy after a remove).
   common::ReaderMutexLock lock(route_mutex_);
+  if (update_replica) update_replica();
   owner_out = shard_map_.OwnerOf(name);
   return CallWorker(owner_out, method, payload);
 }
@@ -59,10 +61,11 @@ void DistEngine::Write(const std::string& name,
   const Bytes encoded =
       EncodeValue<std::pair<std::string, std::vector<Block>>>(
           {name, blocks});
-  replica_.Write(name, std::move(blocks));
   WorkerId owner = 0;
   try {
-    (void)CallOwner(name, Method::kDfsWrite, encoded, owner);
+    (void)CallOwner(name, Method::kDfsWrite, encoded, owner, [&] {
+      replica_.Write(name, std::move(blocks));
+    });
   } catch (const RpcError&) {
     // The owner died; recovery re-pushes this dataset from the replica.
     OnWorkerFailure(owner);
@@ -72,10 +75,11 @@ void DistEngine::Write(const std::string& name,
 void DistEngine::Append(const std::string& name, Block block) {
   const Bytes encoded =
       EncodeValue<std::pair<std::string, Block>>({name, block});
-  replica_.Append(name, std::move(block));
   WorkerId owner = 0;
   try {
-    (void)CallOwner(name, Method::kDfsAppend, encoded, owner);
+    (void)CallOwner(name, Method::kDfsAppend, encoded, owner, [&] {
+      replica_.Append(name, std::move(block));
+    });
   } catch (const RpcError&) {
     // No re-append after recovery: the reconcile pass pushes the whole
     // dataset from the replica, which already holds this block — a second
@@ -99,11 +103,11 @@ std::optional<std::vector<Block>> DistEngine::Read(const std::string& name) {
 }
 
 bool DistEngine::Remove(const std::string& name) {
-  const bool existed = replica_.Remove(name);
+  bool existed = false;
   WorkerId owner = 0;
   try {
-    (void)CallOwner(name, Method::kDfsRemove,
-                    EncodeValue<std::string>(name), owner);
+    (void)CallOwner(name, Method::kDfsRemove, EncodeValue<std::string>(name),
+                    owner, [&] { existed = replica_.Remove(name); });
   } catch (const RpcError&) {
     OnWorkerFailure(owner);  // reconcile clears the shard copy
   }

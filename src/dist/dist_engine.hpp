@@ -28,16 +28,21 @@
 // post-reconcile map — since attempt bodies are pure and results publish
 // via ClaimCommit, output bytes are independent of the failure schedule.
 //
-// Locking: route_mutex_ is a reader/writer route lock. Routing a request
-// (owner lookup + the RPC itself) holds it shared; membership changes +
-// reconciliation hold it exclusive. An append therefore either completes
-// against the pre-change owner (and the reconcile re-pushes it from the
-// replica) or routes against the post-change map — records are never lost
-// mid-rebalance. Order: DistEngine::route_mutex_ before Cluster::mutex_
-// before the RpcChannel leaf (tools/tidy/lock_hierarchy.txt).
+// Locking: route_mutex_ is a reader/writer route lock. A routed data call
+// (Write/Append/Remove: the replica change, the owner lookup and the RPC;
+// Read: the lookup and the RPC) holds it shared as one section; membership
+// changes + reconciliation hold it exclusive. An append therefore either
+// completes against the pre-change owner before the reconcile, which then
+// re-pushes the replica that already holds it, or happens wholly after the
+// reconcile against the post-change map: records are never lost or
+// duplicated mid-rebalance. A failed RPC is handled (OnWorkerFailure, which
+// takes the lock exclusively) only after the shared section has ended.
+// Order: DistEngine::route_mutex_ before Cluster::mutex_ before the
+// RpcChannel leaf (tools/tidy/lock_hierarchy.txt); Dfs::mutex_ is a leaf.
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -155,12 +160,18 @@ class DistEngine {
   }
 
  private:
-  /// Owner + channel under one shared route lock, then the RPC without any
-  /// engine lock (the channel serializes itself). Throws RpcError on
-  /// transport failure, evm::Error on an application error response.
+  /// One request to worker `id`; takes no engine lock (the channel
+  /// serializes itself). Throws RpcError on transport failure, evm::Error
+  /// on an application error response.
   Bytes CallWorker(WorkerId id, Method method, const Bytes& payload);
+  /// Under one shared route lock: applies `update_replica` (if any) to the
+  /// replica, looks up the owner of `name` and sends it the request. The
+  /// caller handles an RpcError only after the lock is released, because
+  /// OnWorkerFailure takes it exclusively.
   Bytes CallOwner(const std::string& name, Method method, const Bytes& payload,
-                  WorkerId& owner_out) EVM_EXCLUDES(route_mutex_);
+                  WorkerId& owner_out,
+                  const std::function<void()>& update_replica = nullptr)
+      EVM_EXCLUDES(route_mutex_);
 
   /// Declares `dead` dead: drops it from the ring, reaps it, optionally
   /// spawns a replacement, reconciles every dataset. Idempotent.

@@ -75,39 +75,41 @@ TEST(MatcherTest, GalleryReuseMakesFollowUpQueriesCheap) {
 }
 
 TEST(MatcherTest, ParallelExecutionMatchesSequentialResults) {
+  // Both execution modes run the same E-split, so every split mode gives
+  // the same report in both.
   const Dataset dataset = GenerateDataset(EasyConfig(15));
   const auto targets = SampleTargets(dataset, 30, 5);
 
-  MatcherConfig sequential_config;
-  EvMatcher sequential(dataset.e_scenarios, dataset.v_scenarios,
-                       dataset.oracle, sequential_config);
-  const MatchReport a = sequential.Match(targets);
+  for (const SplitMode mode :
+       {SplitMode::kWindowSignature, SplitMode::kBinary}) {
+    SCOPED_TRACE(mode == SplitMode::kBinary ? "binary" : "window-signature");
+    MatcherConfig sequential_config;
+    sequential_config.split.mode = mode;
+    EvMatcher sequential(dataset.e_scenarios, dataset.v_scenarios,
+                         dataset.oracle, sequential_config);
+    const MatchReport a = sequential.Match(targets);
 
-  MatcherConfig parallel_config;
-  parallel_config.execution = ExecutionMode::kMapReduce;
-  parallel_config.engine.workers = 4;
-  EvMatcher parallel(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
-                     parallel_config);
-  const MatchReport b = parallel.Match(targets);
+    MatcherConfig parallel_config = sequential_config;
+    parallel_config.execution = ExecutionMode::kMapReduce;
+    parallel_config.engine.workers = 4;
+    EvMatcher parallel(dataset.e_scenarios, dataset.v_scenarios,
+                       dataset.oracle, parallel_config);
+    const MatchReport b = parallel.Match(targets);
 
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].eid, b.results[i].eid);
-    EXPECT_EQ(a.results[i].reported_vid, b.results[i].reported_vid);
-    EXPECT_EQ(a.results[i].chosen_per_scenario,
-              b.results[i].chosen_per_scenario);
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+      EXPECT_EQ(a.results[i].eid, b.results[i].eid);
+      EXPECT_EQ(a.results[i].reported_vid, b.results[i].reported_vid);
+      EXPECT_EQ(a.results[i].chosen_per_scenario,
+                b.results[i].chosen_per_scenario);
+    }
+    ASSERT_EQ(a.scenario_lists.size(), b.scenario_lists.size());
+    for (std::size_t i = 0; i < a.scenario_lists.size(); ++i) {
+      EXPECT_EQ(a.scenario_lists[i].scenarios, b.scenario_lists[i].scenarios);
+    }
+    EXPECT_EQ(a.stats.distinct_scenarios, b.stats.distinct_scenarios);
+    EXPECT_EQ(a.stats.splitting_iterations, b.stats.splitting_iterations);
   }
-  EXPECT_EQ(a.stats.distinct_scenarios, b.stats.distinct_scenarios);
-}
-
-TEST(MatcherTest, MapReduceRequiresSignatureMode) {
-  const Dataset dataset = GenerateDataset(EasyConfig(16));
-  MatcherConfig config;
-  config.execution = ExecutionMode::kMapReduce;
-  config.split.mode = SplitMode::kBinary;
-  EXPECT_THROW(EvMatcher(dataset.e_scenarios, dataset.v_scenarios,
-                         dataset.oracle, config),
-               Error);
 }
 
 TEST(MatcherTest, RefiningRecoversFromMissingVids) {

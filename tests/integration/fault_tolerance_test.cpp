@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "baseline/edp.hpp"
 #include "core/matcher.hpp"
 #include "dataset/generator.hpp"
+#include "mapreduce/counters.hpp"
 #include "metrics/experiment.hpp"
 
 namespace evm {
@@ -40,6 +43,12 @@ TEST(FaultToleranceTest, MatcherSurvivesInjectedEngineFailures) {
   EvMatcher flaky_matcher(dataset.e_scenarios, dataset.v_scenarios,
                           dataset.oracle, flaky);
   const MatchReport b = flaky_matcher.Match(targets);
+  // Injection reaches map/reduce tasks only (here: ev-extract-features), so
+  // check it actually fired (map + reduce); otherwise this test proves
+  // nothing.
+  EXPECT_GT(
+      mapreduce::SnapshotJobCounters(flaky_matcher.metrics()).injected_failures,
+      0u);
 
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
@@ -95,7 +104,15 @@ TEST(FaultToleranceTest, PipelineFailsCleanlyWhenRetriesExhaust) {
   doomed.engine.max_attempts = 2;
   EvMatcher matcher(dataset.e_scenarios, dataset.v_scenarios, dataset.oracle,
                     doomed);
-  EXPECT_THROW((void)matcher.Match(targets), Error);
+  try {
+    (void)matcher.Match(targets);
+    FAIL() << "Match succeeded with 97% of map attempts failing";
+  } catch (const Error& e) {
+    // The only map/reduce job inside Match is the V-stage extraction.
+    EXPECT_NE(std::string(e.what()).find("ev-extract-features"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -106,7 +106,6 @@ RNG_ALLOWLIST = ("src/common/rng.hpp", "src/common/rng.cpp")
 # Hot-path files migrated from std::unordered_* to common::FlatMap/FlatSet.
 # std::unordered_* may not reappear in these (rule unordered-in-migrated).
 MIGRATED_FILES = (
-    "src/core/parallel_split.cpp",
     "src/core/set_splitting.cpp",
     "src/core/vid_filter.cpp",
     "src/dist/cluster.cpp",
@@ -130,7 +129,7 @@ LOCK_SUPPRESS_TOKEN = "lock-ok:"
 
 # Role partition for the counter-parity audit (mirrors the plugin defaults).
 SERIAL_FILES = ("src/core/match_stages.cpp",)
-MAPREDUCE_FILES = ("src/core/matcher.cpp", "src/core/parallel_split.cpp")
+MAPREDUCE_FILES = ("src/core/matcher.cpp",)
 STREAM_DIRS = ("src/stream",)
 ENGINE_DIRS = ("src/mapreduce",)
 AUDITED_PREFIXES = ("mr.", "match.", "stream.", "stage.", "gallery.")

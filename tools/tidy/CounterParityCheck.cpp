@@ -23,8 +23,7 @@ namespace evm {
 namespace {
 
 constexpr char kDefaultSerialFiles[] = "src/core/match_stages.cpp";
-constexpr char kDefaultMapReduceFiles[] =
-    "src/core/matcher.cpp;src/core/parallel_split.cpp";
+constexpr char kDefaultMapReduceFiles[] = "src/core/matcher.cpp";
 constexpr char kDefaultStreamDirs[] = "src/stream";
 constexpr char kDefaultEngineDirs[] = "src/mapreduce";
 constexpr char kDefaultAuditedPrefixes[] =

@@ -7,8 +7,8 @@
 // (tools/tidy/counters.txt) with a role that permits the file using it.
 //
 // Roles partition src/ into the serial match path (core/match_stages), the
-// MapReduce match path (core/matcher, core/parallel_split), the streaming
-// pipeline, the MR engine, and everything else. The manifest tags each name
+// MapReduce match path (core/matcher), the streaming pipeline, the MR
+// engine, and everything else. The manifest tags each name
 // with the roles expected to touch it; a counter tagged for both the serial
 // and MapReduce paths but referenced from only one is the mode-parity drift
 // PR 2 and PR 6 fixed by hand — per-TU the check rejects uses outside the
